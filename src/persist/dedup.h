@@ -6,7 +6,7 @@
 // landed, so it retries the *same* request id. The window answers the
 // retry from the cached response without touching the engine — the
 // mutation's effect happens exactly once even though the request arrived
-// twice. Eviction is FIFO by completion order; `completed_through()`
+// twice. Eviction is FIFO by completion order; `evicted_watermark()`
 // tracks the highest id ever evicted, so a duplicate that is both missing
 // from the window *and* at-or-below the watermark is provably a stale
 // replay (its original completed long ago) and must be rejected rather
@@ -22,6 +22,13 @@
 //
 // Entries store the encoded response payload plus its message type, so
 // the hit path can also verify the duplicate asks for the same operation.
+//
+// `RunOnce` is the whole exactly-once protocol, written once for every
+// served mutation: probe, execute only a fresh id, record the encoded
+// response. Its two executors differ only in what they run and which lock
+// the caller holds across the call — the in-memory server's per-session
+// mutex, or DurableSession's session mutex (which also spans the WAL
+// append and fsync).
 #ifndef RAR_PERSIST_DEDUP_H_
 #define RAR_PERSIST_DEDUP_H_
 
@@ -29,8 +36,40 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <utility>
+
+#include "persist/wal_format.h"
+#include "util/status.h"
 
 namespace rar {
+
+// Wire request-type bytes of the deduped mutations, stored in each window
+// entry. They equal server/protocol.h's MessageType values (wire-stable,
+// never renumbered; server.cc static_asserts the match) and live here so
+// the persist layer does not depend on the serving layer it backs.
+constexpr uint8_t kWireRegisterQueryByte = 2;
+constexpr uint8_t kWireRegisterStreamByte = 3;
+constexpr uint8_t kWireApplyByte = 4;
+
+/// Register response payload (u32 session handle), byte-identical to the
+/// wire's kRegisterQueryOk / kRegisterStreamOk payload.
+inline std::string EncodeHandlePayload(uint32_t handle) {
+  std::string out;
+  BinWriter w(&out);
+  w.U32(handle);
+  return out;
+}
+
+/// Apply response payload: the wire's kApplyOk ApplyResult
+/// (server/protocol.h), so a cached outcome is served verbatim.
+inline std::string EncodeApplyResultPayload(uint32_t facts_added,
+                                            uint64_t wal_sequence) {
+  std::string out;
+  BinWriter w(&out);
+  w.U32(facts_added);
+  w.U64(wal_sequence);
+  return out;
+}
 
 class DedupWindow {
  public:
@@ -60,6 +99,43 @@ class DedupWindow {
       return Verdict::kStale;
     }
     return Verdict::kFresh;
+  }
+
+  /// \brief What RunOnce did with one request.
+  struct Outcome {
+    enum class Kind {
+      kFresh,         ///< executed now; response is the new outcome
+      kHit,           ///< answered from the window; nothing executed
+      kTypeMismatch,  ///< id cached for a different operation: a client bug
+      kStale,         ///< evicted long ago: reject, never re-execute
+    };
+    Kind kind = Kind::kFresh;
+    std::string response;  ///< encoded response payload (kFresh, kHit)
+  };
+
+  /// The exactly-once protocol: probes `request_id`; only a fresh id runs
+  /// `execute` (a callable returning Result<std::string>, the encoded
+  /// response), whose success is recorded under `type`. A failed execute
+  /// records nothing and returns its status, so a retry re-executes.
+  template <typename Execute>
+  Result<Outcome> RunOnce(uint64_t request_id, uint8_t type,
+                          Execute&& execute) {
+    const Entry* cached = nullptr;
+    switch (Probe(request_id, &cached)) {
+      case Verdict::kHit:
+        if (cached->type != type) {
+          return Outcome{Outcome::Kind::kTypeMismatch, {}};
+        }
+        return Outcome{Outcome::Kind::kHit, cached->response_payload};
+      case Verdict::kStale:
+        return Outcome{Outcome::Kind::kStale, {}};
+      case Verdict::kFresh:
+        break;
+    }
+    Result<std::string> response = std::forward<Execute>(execute)();
+    RAR_RETURN_NOT_OK(response.status());
+    Record(request_id, type, *response);
+    return Outcome{Outcome::Kind::kFresh, std::move(response).value()};
   }
 
   /// Records a completed request's outcome (call only after kFresh).

@@ -1,6 +1,7 @@
 #include "persist/durable.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "persist/wal_format.h"
@@ -14,31 +15,25 @@ std::string Basename(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-// Wire request-type bytes the tagged WAL records correspond to. These
-// mirror server/protocol.h's MessageType (wire-stable, never renumbered);
-// they are duplicated here so the persist layer does not depend on the
-// serving layer it backs.
-constexpr uint8_t kWireRegisterQueryByte = 2;
-constexpr uint8_t kWireRegisterStreamByte = 3;
-constexpr uint8_t kWireApplyByte = 4;
-
-std::string EncodeCachedApplyResult(uint32_t facts_added,
-                                    uint64_t wal_sequence) {
-  // Byte-identical to the wire's EncodeApplyResult, so the server can
-  // serve a cached outcome verbatim as the kApplyOk payload.
-  std::string out;
-  BinWriter w(&out);
-  w.U32(facts_added);
-  w.U64(wal_sequence);
-  return out;
+// The k*Tagged twin of a served mutation's record type.
+WalRecordType TaggedTwin(WalRecordType type) {
+  switch (type) {
+    case WalRecordType::kApply:
+      return WalRecordType::kApplyTagged;
+    case WalRecordType::kQueryRegister:
+      return WalRecordType::kQueryRegisterTagged;
+    default:
+      assert(type == WalRecordType::kStreamRegister);
+      return WalRecordType::kStreamRegisterTagged;
+  }
 }
 
-std::string EncodeCachedHandle(uint32_t handle) {
-  // Byte-identical to the wire's register response payload (u32 handle).
-  std::string out;
-  BinWriter w(&out);
-  w.U32(handle);
-  return out;
+// Appends a fresh registration to a serving session's handle table and
+// encodes its handle as the register response payload.
+template <typename Id>
+std::string PushHandle(std::vector<Id>* table, Id id) {
+  table->push_back(id);
+  return EncodeHandlePayload(static_cast<uint32_t>(table->size() - 1));
 }
 
 }  // namespace
@@ -197,28 +192,58 @@ DurableSession::~DurableSession() {
 }
 
 Status DurableSession::ReplayRecord(const WalRecord& rec) {
+  // A tagged mutation record is its untagged twin's payload behind a
+  // {session_id, request_id} tag. Its arm replays the body, then
+  // re-records the outcome exactly as the original served it, so a retry
+  // that straddles the crash still answers from the window. `served` is
+  // null for untagged records and for since-retired sessions.
+  RequestTag tag;
+  std::string_view body = rec.payload;
+  DurableServerSession* served = nullptr;
+  if (rec.type == WalRecordType::kApplyTagged ||
+      rec.type == WalRecordType::kQueryRegisterTagged ||
+      rec.type == WalRecordType::kStreamRegisterTagged) {
+    RAR_RETURN_NOT_OK(SplitTaggedPayload(rec.payload, &tag.session_id,
+                                         &tag.request_id, &body));
+    auto it = server_sessions_.find(tag.session_id);
+    if (it != server_sessions_.end()) served = &it->second;
+  }
   switch (rec.type) {
-    case WalRecordType::kApply: {
+    case WalRecordType::kApply:
+    case WalRecordType::kApplyTagged: {
       Access access;
       std::vector<Fact> response;
-      RAR_RETURN_NOT_OK(DecodeApplyPayload(*schema_, *acs_, rec.payload,
-                                           &access, &response));
+      RAR_RETURN_NOT_OK(
+          DecodeApplyPayload(*schema_, *acs_, body, &access, &response));
       RAR_ASSIGN_OR_RETURN(int added, engine_->ApplyResponse(access, response));
       recovery_.replayed_facts += static_cast<uint64_t>(added);
+      if (served != nullptr) {
+        served->dedup.Record(
+            tag.request_id, kWireApplyByte,
+            EncodeApplyResultPayload(static_cast<uint32_t>(added),
+                                     rec.sequence));
+      }
       return Status::OK();
     }
-    case WalRecordType::kQueryRegister: {
+    case WalRecordType::kQueryRegister:
+    case WalRecordType::kQueryRegisterTagged: {
       UnionQuery q;
-      RAR_RETURN_NOT_OK(DecodeQueryRegisterPayload(*schema_, rec.payload, &q));
+      RAR_RETURN_NOT_OK(DecodeQueryRegisterPayload(*schema_, body, &q));
       RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(q));
       direct_queries_.push_back(std::move(q));
       direct_qids_.push_back(qid);
+      if (served != nullptr) {
+        served->dedup.Record(
+            tag.request_id, kWireRegisterQueryByte,
+            PushHandle(&served->query_regs,
+                       static_cast<uint32_t>(direct_qids_.size() - 1)));
+      }
       return Status::OK();
     }
-    case WalRecordType::kStreamRegister: {
+    case WalRecordType::kStreamRegister:
+    case WalRecordType::kStreamRegisterTagged: {
       StreamRegisterPayload p;
-      RAR_RETURN_NOT_OK(
-          DecodeStreamRegisterPayload(*schema_, rec.payload, &p));
+      RAR_RETURN_NOT_OK(DecodeStreamRegisterPayload(*schema_, body, &p));
       StreamRecoveryInfo info;  // !quiet: events regenerate from sequence 1
       info.fresh_pool.reserve(p.fresh_pool.size());
       for (const auto& [domain, spelling] : p.fresh_pool) {
@@ -227,7 +252,10 @@ Status DurableSession::ReplayRecord(const WalRecord& rec) {
       }
       RAR_ASSIGN_OR_RETURN(
           StreamId id, registry_->RegisterRecovered(p.query, p.options, info));
-      (void)id;
+      if (served != nullptr) {
+        served->dedup.Record(tag.request_id, kWireRegisterStreamByte,
+                             PushHandle(&served->streams, id));
+      }
       return Status::OK();
     }
     case WalRecordType::kStreamCursor: {
@@ -251,110 +279,49 @@ Status DurableSession::ReplayRecord(const WalRecord& rec) {
       server_sessions_.erase(id);
       return Status::OK();
     }
-    case WalRecordType::kApplyTagged: {
-      uint64_t session_id = 0, request_id = 0;
-      std::string_view inner;
-      RAR_RETURN_NOT_OK(
-          SplitTaggedPayload(rec.payload, &session_id, &request_id, &inner));
-      Access access;
-      std::vector<Fact> response;
-      RAR_RETURN_NOT_OK(
-          DecodeApplyPayload(*schema_, *acs_, inner, &access, &response));
-      RAR_ASSIGN_OR_RETURN(int added, engine_->ApplyResponse(access, response));
-      recovery_.replayed_facts += static_cast<uint64_t>(added);
-      auto it = server_sessions_.find(session_id);
-      if (it != server_sessions_.end()) {
-        // Re-record the outcome exactly as the original served it, so a
-        // retry that straddles the crash still answers from the window.
-        it->second.dedup.Record(
-            request_id, kWireApplyByte,
-            EncodeCachedApplyResult(static_cast<uint32_t>(added),
-                                    rec.sequence));
-      }
-      return Status::OK();
-    }
-    case WalRecordType::kQueryRegisterTagged: {
-      uint64_t session_id = 0, request_id = 0;
-      std::string_view inner;
-      RAR_RETURN_NOT_OK(
-          SplitTaggedPayload(rec.payload, &session_id, &request_id, &inner));
-      UnionQuery q;
-      RAR_RETURN_NOT_OK(DecodeQueryRegisterPayload(*schema_, inner, &q));
-      RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(q));
-      direct_queries_.push_back(std::move(q));
-      direct_qids_.push_back(qid);
-      auto it = server_sessions_.find(session_id);
-      if (it != server_sessions_.end()) {
-        const uint32_t handle =
-            static_cast<uint32_t>(it->second.query_regs.size());
-        it->second.query_regs.push_back(
-            static_cast<uint32_t>(direct_qids_.size() - 1));
-        it->second.dedup.Record(request_id, kWireRegisterQueryByte,
-                                EncodeCachedHandle(handle));
-      }
-      return Status::OK();
-    }
-    case WalRecordType::kStreamRegisterTagged: {
-      uint64_t session_id = 0, request_id = 0;
-      std::string_view inner;
-      RAR_RETURN_NOT_OK(
-          SplitTaggedPayload(rec.payload, &session_id, &request_id, &inner));
-      StreamRegisterPayload p;
-      RAR_RETURN_NOT_OK(DecodeStreamRegisterPayload(*schema_, inner, &p));
-      StreamRecoveryInfo info;  // !quiet: events regenerate from sequence 1
-      info.fresh_pool.reserve(p.fresh_pool.size());
-      for (const auto& [domain, spelling] : p.fresh_pool) {
-        info.fresh_pool.push_back(
-            TypedValue{schema_->InternConstant(spelling), domain});
-      }
-      RAR_ASSIGN_OR_RETURN(
-          StreamId id, registry_->RegisterRecovered(p.query, p.options, info));
-      auto it = server_sessions_.find(session_id);
-      if (it != server_sessions_.end()) {
-        const uint32_t handle = static_cast<uint32_t>(it->second.streams.size());
-        it->second.streams.push_back(id);
-        it->second.dedup.Record(request_id, kWireRegisterStreamByte,
-                                EncodeCachedHandle(handle));
-      }
-      return Status::OK();
-    }
   }
   return Status::ParseError("unknown WAL record type");
 }
 
-Result<int> DurableSession::Apply(const Access& access,
-                                  const std::vector<Fact>& response) {
-  std::lock_guard<std::mutex> lock(session_mu_);
+// ---- logged mutations ------------------------------------------------------
+// One body per mutation (the *Locked members), shared by the direct entry
+// point and its tagged, deduped twin. Registrations mutate first and log
+// on success: the WAL then holds only registrations replay can repeat
+// verbatim, and a crash between the two loses one the caller was never
+// told succeeded.
+
+Result<int> DurableSession::ApplyLocked(const RequestTag* tag,
+                                        const Access& access,
+                                        const std::vector<Fact>& response) {
   // The engine calls back into LogApply inside its critical section and
-  // WaitDurable before notifying listeners (see PersistHook in engine.h).
-  RAR_ASSIGN_OR_RETURN(int added, engine_->ApplyResponse(access, response));
-  records_since_snapshot_ += 1;
-  RAR_RETURN_NOT_OK(MaybeAutoSnapshotLocked());
+  // WaitDurable before notifying listeners (see PersistHook in engine.h);
+  // the tag rides pending_apply_tag_ so the record carries it.
+  pending_apply_tag_ = tag;
+  Result<int> added = engine_->ApplyResponse(access, response);
+  pending_apply_tag_ = nullptr;
+  if (added.ok()) records_since_snapshot_ += 1;
   return added;
 }
 
-Result<QueryId> DurableSession::RegisterQuery(const UnionQuery& query) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  // Mutate first, log on success: the WAL then holds only registrations
-  // replay can repeat verbatim. A crash between the two loses a
-  // registration the caller was never told succeeded.
+Result<QueryId> DurableSession::RegisterQueryLocked(const RequestTag* tag,
+                                                    const UnionQuery& query) {
   RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(query));
-  uint64_t seq = wal_->Append(WalRecordType::kQueryRegister,
-                              EncodeQueryRegisterPayload(*schema_, query));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
+  RAR_RETURN_NOT_OK(LogLocked(tag, WalRecordType::kQueryRegister,
+                              EncodeQueryRegisterPayload(*schema_, query)));
   direct_queries_.push_back(query);
   direct_qids_.push_back(qid);
-  records_since_snapshot_ += 1;
   return qid;
 }
 
-Result<StreamId> DurableSession::RegisterStream(const UnionQuery& query,
-                                                StreamOptions options) {
-  std::lock_guard<std::mutex> lock(session_mu_);
+Result<StreamId> DurableSession::RegisterStreamLocked(const RequestTag* tag,
+                                                      const UnionQuery& query,
+                                                      StreamOptions options) {
   options.retain_events = true;  // persisted cursors need retained events
   RAR_ASSIGN_OR_RETURN(StreamId id, registry_->Register(query, options));
   RAR_ASSIGN_OR_RETURN(RelevanceStreamRegistry::StreamPersistState ps,
                        registry_->DumpPersistState(id));
+  // Log the fresh constants the registration minted, so replay re-seeds
+  // the instantiator with the same ones.
   StreamRegisterPayload p;
   p.query = query;
   p.options = options;
@@ -362,21 +329,65 @@ Result<StreamId> DurableSession::RegisterStream(const UnionQuery& query,
   for (const TypedValue& tv : ps.fresh_pool) {
     p.fresh_pool.emplace_back(tv.domain, schema_->ConstantSpelling(tv.value));
   }
-  uint64_t seq = wal_->Append(WalRecordType::kStreamRegister,
-                              EncodeStreamRegisterPayload(*schema_, p));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  records_since_snapshot_ += 1;
+  RAR_RETURN_NOT_OK(LogLocked(tag, WalRecordType::kStreamRegister,
+                              EncodeStreamRegisterPayload(*schema_, p)));
   return id;
+}
+
+template <typename Execute>
+Result<DedupWindow::Outcome> DurableSession::RunServed(const RequestTag& tag,
+                                                       uint8_t type,
+                                                       Execute&& execute) {
+  auto it = server_sessions_.find(tag.session_id);
+  if (it == server_sessions_.end()) {
+    return Status::FailedPrecondition("unknown durable serving session " +
+                                      std::to_string(tag.session_id));
+  }
+  DurableServerSession& served = it->second;
+  return served.dedup.RunOnce(tag.request_id, type,
+                              [&] { return execute(served); });
+}
+
+uint64_t DurableSession::AppendRecord(const RequestTag* tag,
+                                      WalRecordType type,
+                                      std::string_view payload) {
+  if (tag == nullptr) return wal_->Append(type, payload);
+  return wal_->Append(
+      TaggedTwin(type),
+      EncodeTaggedPayload(tag->session_id, tag->request_id, payload));
+}
+
+Status DurableSession::LogLocked(const RequestTag* tag, WalRecordType type,
+                                 std::string_view payload) {
+  RAR_RETURN_NOT_OK(wal_->WaitDurable(AppendRecord(tag, type, payload)));
+  records_since_snapshot_ += 1;
+  return Status::OK();
+}
+
+Result<int> DurableSession::Apply(const Access& access,
+                                  const std::vector<Fact>& response) {
+  std::lock_guard<std::mutex> lock(session_mu_);
+  RAR_ASSIGN_OR_RETURN(int added, ApplyLocked(nullptr, access, response));
+  RAR_RETURN_NOT_OK(MaybeAutoSnapshotLocked());
+  return added;
+}
+
+Result<QueryId> DurableSession::RegisterQuery(const UnionQuery& query) {
+  std::lock_guard<std::mutex> lock(session_mu_);
+  return RegisterQueryLocked(nullptr, query);
+}
+
+Result<StreamId> DurableSession::RegisterStream(const UnionQuery& query,
+                                                StreamOptions options) {
+  std::lock_guard<std::mutex> lock(session_mu_);
+  return RegisterStreamLocked(nullptr, query, options);
 }
 
 Status DurableSession::Acknowledge(StreamId id, uint64_t upto) {
   std::lock_guard<std::mutex> lock(session_mu_);
   RAR_RETURN_NOT_OK(registry_->Acknowledge(id, upto));
-  uint64_t seq = wal_->Append(WalRecordType::kStreamCursor,
-                              EncodeStreamCursorPayload(id, upto));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  records_since_snapshot_ += 1;
-  return Status::OK();
+  return LogLocked(nullptr, WalRecordType::kStreamCursor,
+                   EncodeStreamCursorPayload(id, upto));
 }
 
 Status DurableSession::Flush() {
@@ -386,25 +397,20 @@ Status DurableSession::Flush() {
 
 Status DurableSession::OpenServerSession(uint64_t session_id, uint64_t nonce) {
   std::lock_guard<std::mutex> lock(session_mu_);
-  uint64_t seq = wal_->Append(WalRecordType::kSessionOpen,
-                              EncodeSessionOpenPayload(session_id, nonce));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
+  RAR_RETURN_NOT_OK(LogLocked(nullptr, WalRecordType::kSessionOpen,
+                              EncodeSessionOpenPayload(session_id, nonce)));
   DurableServerSession ds;
   ds.nonce = nonce;
   ds.dedup = DedupWindow(options_.dedup_window);
   server_sessions_[session_id] = std::move(ds);
-  records_since_snapshot_ += 1;
   return Status::OK();
 }
 
 Status DurableSession::RetireServerSession(uint64_t session_id) {
   std::lock_guard<std::mutex> lock(session_mu_);
   if (server_sessions_.erase(session_id) == 0) return Status::OK();
-  uint64_t seq = wal_->Append(WalRecordType::kSessionRetire,
-                              EncodeSessionRetirePayload(session_id));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  records_since_snapshot_ += 1;
-  return Status::OK();
+  return LogLocked(nullptr, WalRecordType::kSessionRetire,
+                   EncodeSessionRetirePayload(session_id));
 }
 
 std::vector<DurableSession::RecoveredServerSession>
@@ -423,152 +429,54 @@ DurableSession::server_sessions() const {
   return out;
 }
 
-Result<DurableSession::TaggedOutcome> DurableSession::ApplyTagged(
+Result<DedupWindow::Outcome> DurableSession::ApplyTagged(
     uint64_t session_id, uint64_t request_id, const Access& access,
     const std::vector<Fact>& response) {
   std::lock_guard<std::mutex> lock(session_mu_);
-  auto it = server_sessions_.find(session_id);
-  if (it == server_sessions_.end()) {
-    return Status::FailedPrecondition("unknown durable serving session " +
-                                      std::to_string(session_id));
+  const RequestTag tag{session_id, request_id};
+  RAR_ASSIGN_OR_RETURN(
+      DedupWindow::Outcome outcome,
+      RunServed(tag, kWireApplyByte,
+                [&](DurableServerSession&) -> Result<std::string> {
+                  RAR_ASSIGN_OR_RETURN(int added,
+                                       ApplyLocked(&tag, access, response));
+                  return EncodeApplyResultPayload(
+                      static_cast<uint32_t>(added), wal_->last_sequence());
+                }));
+  // After RunOnce recorded the outcome, so a snapshot taken here carries
+  // the window entry along with the apply it covers.
+  if (outcome.kind == DedupWindow::Outcome::Kind::kFresh) {
+    RAR_RETURN_NOT_OK(MaybeAutoSnapshotLocked());
   }
-  DedupWindow& win = it->second.dedup;
-  const DedupWindow::Entry* cached = nullptr;
-  switch (win.Probe(request_id, &cached)) {
-    case DedupWindow::Verdict::kHit: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kHit;
-      o.type = cached->type;
-      o.response = cached->response_payload;
-      return o;
-    }
-    case DedupWindow::Verdict::kStale: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kStale;
-      return o;
-    }
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-  // The engine calls back into LogApply inside its critical section (same
-  // thread); the tag rides this stack slot so the WAL record carries it.
-  const std::pair<uint64_t, uint64_t> tag{session_id, request_id};
-  pending_apply_tag_ = &tag;
-  Result<int> added = engine_->ApplyResponse(access, response);
-  pending_apply_tag_ = nullptr;
-  RAR_RETURN_NOT_OK(added.status());
-  TaggedOutcome o;
-  o.kind = TaggedOutcome::Kind::kFresh;
-  o.type = kWireApplyByte;
-  o.facts_added = *added;
-  o.response = EncodeCachedApplyResult(static_cast<uint32_t>(*added),
-                                       wal_->last_sequence());
-  win.Record(request_id, kWireApplyByte, o.response);
-  records_since_snapshot_ += 1;
-  RAR_RETURN_NOT_OK(MaybeAutoSnapshotLocked());
-  return o;
+  return outcome;
 }
 
-Result<DurableSession::TaggedOutcome> DurableSession::RegisterQueryTagged(
-    uint64_t session_id, uint64_t request_id, const UnionQuery& query) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  auto it = server_sessions_.find(session_id);
-  if (it == server_sessions_.end()) {
-    return Status::FailedPrecondition("unknown durable serving session " +
-                                      std::to_string(session_id));
-  }
-  DedupWindow& win = it->second.dedup;
-  const DedupWindow::Entry* cached = nullptr;
-  switch (win.Probe(request_id, &cached)) {
-    case DedupWindow::Verdict::kHit: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kHit;
-      o.type = cached->type;
-      o.response = cached->response_payload;
-      return o;
-    }
-    case DedupWindow::Verdict::kStale: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kStale;
-      return o;
-    }
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-  RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(query));
-  uint64_t seq = wal_->Append(
-      WalRecordType::kQueryRegisterTagged,
-      EncodeTaggedPayload(session_id, request_id,
-                          EncodeQueryRegisterPayload(*schema_, query)));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  direct_queries_.push_back(query);
-  direct_qids_.push_back(qid);
-  TaggedOutcome o;
-  o.kind = TaggedOutcome::Kind::kFresh;
-  o.type = kWireRegisterQueryByte;
-  o.query_id = qid;
-  o.handle = static_cast<uint32_t>(it->second.query_regs.size());
-  it->second.query_regs.push_back(
-      static_cast<uint32_t>(direct_qids_.size() - 1));
-  o.response = EncodeCachedHandle(o.handle);
-  win.Record(request_id, kWireRegisterQueryByte, o.response);
-  records_since_snapshot_ += 1;
-  return o;
-}
-
-Result<DurableSession::TaggedOutcome> DurableSession::RegisterStreamTagged(
+Result<DedupWindow::Outcome> DurableSession::RegisterQueryTagged(
     uint64_t session_id, uint64_t request_id, const UnionQuery& query,
-    StreamOptions options) {
+    QueryId* query_id) {
   std::lock_guard<std::mutex> lock(session_mu_);
-  auto it = server_sessions_.find(session_id);
-  if (it == server_sessions_.end()) {
-    return Status::FailedPrecondition("unknown durable serving session " +
-                                      std::to_string(session_id));
-  }
-  DedupWindow& win = it->second.dedup;
-  const DedupWindow::Entry* cached = nullptr;
-  switch (win.Probe(request_id, &cached)) {
-    case DedupWindow::Verdict::kHit: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kHit;
-      o.type = cached->type;
-      o.response = cached->response_payload;
-      return o;
-    }
-    case DedupWindow::Verdict::kStale: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kStale;
-      return o;
-    }
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-  options.retain_events = true;  // persisted cursors need retained events
-  RAR_ASSIGN_OR_RETURN(StreamId id, registry_->Register(query, options));
-  RAR_ASSIGN_OR_RETURN(RelevanceStreamRegistry::StreamPersistState ps,
-                       registry_->DumpPersistState(id));
-  StreamRegisterPayload p;
-  p.query = query;
-  p.options = options;
-  p.fresh_pool.reserve(ps.fresh_pool.size());
-  for (const TypedValue& tv : ps.fresh_pool) {
-    p.fresh_pool.emplace_back(tv.domain, schema_->ConstantSpelling(tv.value));
-  }
-  uint64_t seq = wal_->Append(
-      WalRecordType::kStreamRegisterTagged,
-      EncodeTaggedPayload(session_id, request_id,
-                          EncodeStreamRegisterPayload(*schema_, p)));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  TaggedOutcome o;
-  o.kind = TaggedOutcome::Kind::kFresh;
-  o.type = kWireRegisterStreamByte;
-  o.stream_id = id;
-  o.handle = static_cast<uint32_t>(it->second.streams.size());
-  it->second.streams.push_back(id);
-  o.response = EncodeCachedHandle(o.handle);
-  win.Record(request_id, kWireRegisterStreamByte, o.response);
-  records_since_snapshot_ += 1;
-  return o;
+  const RequestTag tag{session_id, request_id};
+  return RunServed(
+      tag, kWireRegisterQueryByte,
+      [&](DurableServerSession& served) -> Result<std::string> {
+        RAR_ASSIGN_OR_RETURN(*query_id, RegisterQueryLocked(&tag, query));
+        return PushHandle(&served.query_regs,
+                          static_cast<uint32_t>(direct_qids_.size() - 1));
+      });
+}
+
+Result<DedupWindow::Outcome> DurableSession::RegisterStreamTagged(
+    uint64_t session_id, uint64_t request_id, const UnionQuery& query,
+    StreamOptions options, StreamId* stream_id) {
+  std::lock_guard<std::mutex> lock(session_mu_);
+  const RequestTag tag{session_id, request_id};
+  return RunServed(
+      tag, kWireRegisterStreamByte,
+      [&](DurableServerSession& served) -> Result<std::string> {
+        RAR_ASSIGN_OR_RETURN(*stream_id,
+                             RegisterStreamLocked(&tag, query, options));
+        return PushHandle(&served.streams, *stream_id);
+      });
 }
 
 Status DurableSession::WriteSnapshot() {
@@ -690,14 +598,8 @@ Status DurableSession::MaybeAutoSnapshotLocked() {
 
 uint64_t DurableSession::LogApply(const Access& access,
                                   const std::vector<Fact>& response) {
-  std::string payload = EncodeApplyPayload(*schema_, *acs_, access, response);
-  if (pending_apply_tag_ != nullptr) {
-    return wal_->Append(
-        WalRecordType::kApplyTagged,
-        EncodeTaggedPayload(pending_apply_tag_->first,
-                            pending_apply_tag_->second, payload));
-  }
-  return wal_->Append(WalRecordType::kApply, payload);
+  return AppendRecord(pending_apply_tag_, WalRecordType::kApply,
+                      EncodeApplyPayload(*schema_, *acs_, access, response));
 }
 
 Status DurableSession::WaitDurable(uint64_t sequence) {

@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -124,22 +125,6 @@ class DurableSession : public PersistHook, public ApplyListener {
   // server crash without double-applying (at-least-once delivery,
   // exactly-once effect).
 
-  /// \brief What a tagged (deduped) mutation did.
-  struct TaggedOutcome {
-    enum class Kind {
-      kFresh,  ///< executed now; response is the new outcome
-      kHit,    ///< answered from the dedup window; engine untouched
-      kStale,  ///< evicted from the window long ago; must be rejected
-    };
-    Kind kind = Kind::kFresh;
-    uint8_t type = 0;      ///< wire type byte of the original request
-    std::string response;  ///< encoded response payload (kFresh / kHit)
-    int facts_added = 0;   ///< kFresh applies
-    uint32_t handle = 0;   ///< kFresh registrations: the session handle
-    QueryId query_id = 0;  ///< kFresh query registrations
-    StreamId stream_id = 0;  ///< kFresh stream registrations
-  };
-
   /// \brief One recovered serving session (for re-seeding a server's
   /// token and handle tables after Open).
   struct RecoveredServerSession {
@@ -156,21 +141,27 @@ class DurableSession : public PersistHook, public ApplyListener {
   /// Live serving sessions, for post-recovery seeding.
   std::vector<RecoveredServerSession> server_sessions() const;
 
-  /// Exactly-once apply: probes the session's dedup window first; fresh
-  /// requests run through the engine + WAL (tagged, so crash replay
-  /// re-records the outcome) and cache their encoded ApplyResult payload.
-  Result<TaggedOutcome> ApplyTagged(uint64_t session_id, uint64_t request_id,
-                                    const Access& access,
-                                    const std::vector<Fact>& response);
+  /// Exactly-once apply: runs through the serving session's dedup window
+  /// (DedupWindow::RunOnce) under the session mutex, which stays held
+  /// across probe, engine apply, WAL append, fsync and record. A fresh
+  /// request is logged tagged, so crash replay re-records its outcome, and
+  /// caches its encoded ApplyResult payload.
+  Result<DedupWindow::Outcome> ApplyTagged(uint64_t session_id,
+                                           uint64_t request_id,
+                                           const Access& access,
+                                           const std::vector<Fact>& response);
   /// Deduped registrations: a retried registration answers the original
-  /// handle instead of minting a duplicate query/stream.
-  Result<TaggedOutcome> RegisterQueryTagged(uint64_t session_id,
-                                            uint64_t request_id,
-                                            const UnionQuery& query);
-  Result<TaggedOutcome> RegisterStreamTagged(uint64_t session_id,
-                                             uint64_t request_id,
-                                             const UnionQuery& query,
-                                             StreamOptions options);
+  /// handle instead of minting a duplicate query/stream. On kFresh the new
+  /// engine QueryId / registry StreamId is stored through the out-param.
+  Result<DedupWindow::Outcome> RegisterQueryTagged(uint64_t session_id,
+                                                   uint64_t request_id,
+                                                   const UnionQuery& query,
+                                                   QueryId* query_id);
+  Result<DedupWindow::Outcome> RegisterStreamTagged(uint64_t session_id,
+                                                    uint64_t request_id,
+                                                    const UnionQuery& query,
+                                                    StreamOptions options,
+                                                    StreamId* stream_id);
 
   /// Writes a snapshot now and prunes durable state down to a one-deep
   /// fallback chain: the new image, the previous image, and the WAL
@@ -205,6 +196,37 @@ class DurableSession : public PersistHook, public ApplyListener {
     DedupWindow dedup;
   };
 
+  /// {session_id, request_id} of a served mutation. Each mutation has one
+  /// body taking an optional tag: null for direct callers, set when a
+  /// SessionServer drives it (the record is then written as its k*Tagged
+  /// twin so replay rebuilds the dedup window).
+  struct RequestTag {
+    uint64_t session_id = 0;
+    uint64_t request_id = 0;
+  };
+
+  // Mutation bodies; the caller holds session_mu_.
+  Result<int> ApplyLocked(const RequestTag* tag, const Access& access,
+                          const std::vector<Fact>& response);
+  Result<QueryId> RegisterQueryLocked(const RequestTag* tag,
+                                      const UnionQuery& query);
+  Result<StreamId> RegisterStreamLocked(const RequestTag* tag,
+                                        const UnionQuery& query,
+                                        StreamOptions options);
+  /// Runs `execute(DurableServerSession&)` through the tagged serving
+  /// session's dedup window (caller holds session_mu_).
+  template <typename Execute>
+  Result<DedupWindow::Outcome> RunServed(const RequestTag& tag, uint8_t type,
+                                         Execute&& execute);
+  /// Appends one `type` record (its k*Tagged twin, tag prefixed, when
+  /// `tag` is set).
+  uint64_t AppendRecord(const RequestTag* tag, WalRecordType type,
+                        std::string_view payload);
+  /// AppendRecord, then waits for the record to be durable and counts it
+  /// toward the auto snapshot.
+  Status LogLocked(const RequestTag* tag, WalRecordType type,
+                   std::string_view payload);
+
   Status ReplayRecord(const WalRecord& rec);
   Status WriteSnapshotLocked();
   Status MaybeAutoSnapshotLocked();
@@ -224,10 +246,10 @@ class DurableSession : public PersistHook, public ApplyListener {
   std::vector<UnionQuery> direct_queries_;  ///< registration order
   std::vector<QueryId> direct_qids_;
   std::unordered_map<uint64_t, DurableServerSession> server_sessions_;
-  /// {session_id, request_id} of the tagged apply in flight (stack slot of
-  /// ApplyTagged, read by LogApply inside the engine's critical section on
-  /// the same thread); nullptr for untagged applies.
-  const std::pair<uint64_t, uint64_t>* pending_apply_tag_ = nullptr;
+  /// Tag of the apply in flight (stack slot of ApplyTagged, read by
+  /// LogApply inside the engine's critical section on the same thread);
+  /// nullptr for untagged applies.
+  const RequestTag* pending_apply_tag_ = nullptr;
   RecoveryInfo recovery_;
   uint64_t records_since_snapshot_ = 0;
   uint64_t snapshots_written_ = 0;

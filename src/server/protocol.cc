@@ -277,14 +277,6 @@ Status DecodeApplyRequest(const Schema& schema, const AccessMethodSet& acs,
   return DecodeApplyPayload(schema, acs, payload.substr(16), access, response);
 }
 
-std::string EncodeApplyResult(const ApplyResult& r) {
-  std::string out;
-  BinWriter w(&out);
-  w.U32(r.facts_added);
-  w.U64(r.wal_sequence);
-  return out;
-}
-
 Status DecodeApplyResult(std::string_view payload, ApplyResult* out) {
   BinReader r(payload);
   RAR_RETURN_NOT_OK(r.U32(&out->facts_added));

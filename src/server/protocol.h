@@ -218,12 +218,13 @@ Status DecodeApplyRequest(const Schema& schema, const AccessMethodSet& acs,
                           std::string_view payload, SessionToken* token,
                           Access* access, std::vector<Fact>* response);
 
-/// \brief kApplyOk: the absorbed delta.
+/// \brief kApplyOk: the absorbed delta. The server encodes it with
+/// persist/dedup.h's EncodeApplyResultPayload, the one encoder both
+/// serving modes share, so a cached outcome is the wire payload verbatim.
 struct ApplyResult {
   uint32_t facts_added = 0;
   uint64_t wal_sequence = 0;  ///< 0 when the server runs in-memory
 };
-std::string EncodeApplyResult(const ApplyResult& r);
 Status DecodeApplyResult(std::string_view payload, ApplyResult* out);
 
 /// kPoll: token + stream handle + cursor (deliver events past it).

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "obs/export.h"
 #include "obs/histogram.h"
@@ -24,11 +25,36 @@ void MaxInto(std::atomic<uint64_t>& gauge, uint64_t v) {
   }
 }
 
-std::string EncodeHandle(uint32_t handle) {
-  std::string out;
-  BinWriter w(&out);
-  w.U32(handle);
-  return out;
+// The dedup window stores wire type bytes; persist keeps its own copies.
+static_assert(kWireRegisterQueryByte ==
+              static_cast<uint8_t>(MessageType::kRegisterQuery));
+static_assert(kWireRegisterStreamByte ==
+              static_cast<uint8_t>(MessageType::kRegisterStream));
+static_assert(kWireApplyByte == static_cast<uint8_t>(MessageType::kApply));
+
+/// The in-memory executor: `mu` (the session's) is held across probe,
+/// execute and record, so a concurrent retry of the same request id (a
+/// second connection replaying the frame) serializes behind the original
+/// instead of racing it.
+template <typename Execute>
+Result<DedupWindow::Outcome> RunLocked(std::mutex& mu, DedupWindow& window,
+                                       uint64_t request_id, uint8_t type,
+                                       Execute&& execute) {
+  std::lock_guard<std::mutex> lock(mu);
+  return window.RunOnce(request_id, type, std::forward<Execute>(execute));
+}
+
+/// A fresh registration answers with the next slot of the session's
+/// handle table: both executors hand handles out under register_mu_, so a
+/// mismatch means the table and the durable registry diverged.
+bool CheckNextHandle(const std::string& response, size_t next,
+                     WireError* error) {
+  uint32_t handle = 0;
+  BinReader r(response);
+  if (r.U32(&handle).ok() && handle == next) return true;
+  error->code = WireErrorCode::kInternal;
+  error->message = "session handle table out of sync with durable state";
+  return false;
 }
 
 /// Scoped in-flight mutation count for the drain protocol: increment
@@ -223,32 +249,29 @@ void SessionServer::ShedDraining(WireError* error) {
   error->message = "server is draining; retry against another replica";
 }
 
-bool SessionServer::AnswerFromOutcome(
-    const DurableSession::TaggedOutcome& outcome, uint8_t request_type,
-    std::string* payload, WireError* error) {
-  using Kind = DurableSession::TaggedOutcome::Kind;
+std::string SessionServer::AnswerMutation(DedupWindow::Outcome outcome,
+                                          WireError* error) {
+  using Kind = DedupWindow::Outcome::Kind;
   switch (outcome.kind) {
     case Kind::kHit:
-      if (outcome.type != request_type) {
-        error->code = WireErrorCode::kBadRequest;
-        error->message =
-            "request id was already used by a different message type";
-        return true;
-      }
       Bump(counters_.dedup_hits);
-      *payload = outcome.response;
-      return true;
+      break;
+    case Kind::kFresh:
+      break;
+    case Kind::kTypeMismatch:
+      error->code = WireErrorCode::kBadRequest;
+      error->message =
+          "request id was already used by a different message type";
+      break;
     case Kind::kStale:
       Bump(counters_.dedup_stale);
       error->code = WireErrorCode::kStaleRequest;
       error->message =
           "request id predates the dedup window: the original completed "
           "long ago; re-issuing it would risk a double-apply";
-      return true;
-    case Kind::kFresh:
-      return false;
+      break;
   }
-  return false;
+  return std::move(outcome.response);
 }
 
 std::shared_ptr<SessionServer::ServerSession> SessionServer::FindSession(
@@ -379,69 +402,32 @@ std::string SessionServer::HandleRegisterQuery(const WireFrame& frame,
   std::shared_ptr<ServerSession> session = FindSession(token, error);
   if (session == nullptr) return "";
 
-  const uint8_t type_byte = static_cast<uint8_t>(frame.type);
   std::lock_guard<std::mutex> reg(register_mu_);
-
-  if (durable_ != nullptr) {
-    Result<DurableSession::TaggedOutcome> outcome =
-        durable_->RegisterQueryTagged(session->id, frame.request_id, query);
-    if (!outcome.ok()) {
-      error->code = WireErrorCode::kBadRequest;
-      error->message = outcome.status().ToString();
-      return "";
-    }
-    std::string payload;
-    if (AnswerFromOutcome(*outcome, type_byte, &payload, error)) {
-      return payload;
-    }
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (session->queries.size() != outcome->handle) {
-      error->code = WireErrorCode::kInternal;
-      error->message = "session handle table out of sync with durable state";
-      return "";
-    }
-    session->queries.push_back(outcome->query_id);
-    return outcome->response;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    const DedupWindow::Entry* entry = nullptr;
-    switch (session->dedup.Probe(frame.request_id, &entry)) {
-      case DedupWindow::Verdict::kHit:
-        if (entry->type != type_byte) {
-          error->code = WireErrorCode::kBadRequest;
-          error->message =
-              "request id was already used by a different message type";
-          return "";
-        }
-        Bump(counters_.dedup_hits);
-        return entry->response_payload;
-      case DedupWindow::Verdict::kStale:
-        Bump(counters_.dedup_stale);
-        error->code = WireErrorCode::kStaleRequest;
-        error->message = "request id predates the dedup window";
-        return "";
-      case DedupWindow::Verdict::kFresh:
-        break;
-    }
-  }
-
-  Result<QueryId> qid = engine_->RegisterQuery(query);
-  if (!qid.ok()) {
+  QueryId qid = 0;
+  Result<DedupWindow::Outcome> outcome =
+      durable_ != nullptr
+          ? durable_->RegisterQueryTagged(session->id, frame.request_id,
+                                          query, &qid)
+          : RunLocked(session->mu, session->dedup, frame.request_id,
+                      kWireRegisterQueryByte, [&]() -> Result<std::string> {
+                        RAR_ASSIGN_OR_RETURN(qid,
+                                             engine_->RegisterQuery(query));
+                        return EncodeHandlePayload(
+                            static_cast<uint32_t>(session->queries.size()));
+                      });
+  if (!outcome.ok()) {
     error->code = WireErrorCode::kBadRequest;
-    error->message = qid.status().ToString();
+    error->message = outcome.status().ToString();
     return "";
   }
-  std::string payload;
-  {
+  if (outcome->kind == DedupWindow::Outcome::Kind::kFresh) {
     std::lock_guard<std::mutex> lock(session->mu);
-    const uint32_t handle = static_cast<uint32_t>(session->queries.size());
-    session->queries.push_back(*qid);
-    payload = EncodeHandle(handle);
-    session->dedup.Record(frame.request_id, type_byte, payload);
+    if (!CheckNextHandle(outcome->response, session->queries.size(), error)) {
+      return "";
+    }
+    session->queries.push_back(qid);
   }
-  return payload;
+  return AnswerMutation(std::move(*outcome), error);
 }
 
 std::string SessionServer::HandleRegisterStream(const WireFrame& frame,
@@ -473,71 +459,33 @@ std::string SessionServer::HandleRegisterStream(const WireFrame& frame,
     opts.retain_cap = options_.max_backlog_events;
   }
 
-  const uint8_t type_byte = static_cast<uint8_t>(frame.type);
   std::lock_guard<std::mutex> reg(register_mu_);
-
-  if (durable_ != nullptr) {
-    Result<DurableSession::TaggedOutcome> outcome = durable_->
-        RegisterStreamTagged(session->id, frame.request_id, query, opts);
-    if (!outcome.ok()) {
-      error->code = WireErrorCode::kBadRequest;
-      error->message = outcome.status().ToString();
-      return "";
-    }
-    std::string payload;
-    if (AnswerFromOutcome(*outcome, type_byte, &payload, error)) {
-      return payload;
-    }
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (session->streams.size() != outcome->handle) {
-      error->code = WireErrorCode::kInternal;
-      error->message = "session handle table out of sync with durable state";
-      return "";
-    }
-    session->streams.push_back(outcome->stream_id);
-    session->degraded.push_back(0);
-    return outcome->response;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    const DedupWindow::Entry* entry = nullptr;
-    switch (session->dedup.Probe(frame.request_id, &entry)) {
-      case DedupWindow::Verdict::kHit:
-        if (entry->type != type_byte) {
-          error->code = WireErrorCode::kBadRequest;
-          error->message =
-              "request id was already used by a different message type";
-          return "";
-        }
-        Bump(counters_.dedup_hits);
-        return entry->response_payload;
-      case DedupWindow::Verdict::kStale:
-        Bump(counters_.dedup_stale);
-        error->code = WireErrorCode::kStaleRequest;
-        error->message = "request id predates the dedup window";
-        return "";
-      case DedupWindow::Verdict::kFresh:
-        break;
-    }
-  }
-
-  Result<StreamId> sid = registry_->Register(query, opts);
-  if (!sid.ok()) {
+  StreamId sid = 0;
+  Result<DedupWindow::Outcome> outcome =
+      durable_ != nullptr
+          ? durable_->RegisterStreamTagged(session->id, frame.request_id,
+                                           query, opts, &sid)
+          : RunLocked(session->mu, session->dedup, frame.request_id,
+                      kWireRegisterStreamByte, [&]() -> Result<std::string> {
+                        RAR_ASSIGN_OR_RETURN(sid,
+                                             registry_->Register(query, opts));
+                        return EncodeHandlePayload(
+                            static_cast<uint32_t>(session->streams.size()));
+                      });
+  if (!outcome.ok()) {
     error->code = WireErrorCode::kBadRequest;
-    error->message = sid.status().ToString();
+    error->message = outcome.status().ToString();
     return "";
   }
-  std::string payload;
-  {
+  if (outcome->kind == DedupWindow::Outcome::Kind::kFresh) {
     std::lock_guard<std::mutex> lock(session->mu);
-    const uint32_t handle = static_cast<uint32_t>(session->streams.size());
-    session->streams.push_back(*sid);
+    if (!CheckNextHandle(outcome->response, session->streams.size(), error)) {
+      return "";
+    }
+    session->streams.push_back(sid);
     session->degraded.push_back(0);
-    payload = EncodeHandle(handle);
-    session->dedup.Record(frame.request_id, type_byte, payload);
   }
-  return payload;
+  return AnswerMutation(std::move(*outcome), error);
 }
 
 std::string SessionServer::HandleApply(const WireFrame& frame,
@@ -560,56 +508,19 @@ std::string SessionServer::HandleApply(const WireFrame& frame,
   std::shared_ptr<ServerSession> session = FindSession(token, error);
   if (session == nullptr) return "";
 
-  const uint8_t type_byte = static_cast<uint8_t>(frame.type);
-
-  if (durable_ != nullptr) {
-    Result<DurableSession::TaggedOutcome> outcome =
-        durable_->ApplyTagged(session->id, frame.request_id, access, response);
-    if (!outcome.ok()) {
-      if (outcome.status().code() == StatusCode::kResourceExhausted) {
-        Bump(counters_.applies_shed);
-        error->code = WireErrorCode::kRetryLater;
-        error->retry_after_ms = options_.retry_after_ms;
-      } else {
-        error->code = WireErrorCode::kBadRequest;
-      }
-      error->message = outcome.status().ToString();
-      return "";
-    }
-    std::string payload;
-    if (AnswerFromOutcome(*outcome, type_byte, &payload, error)) {
-      return payload;
-    }
-    return outcome->response;
-  }
-
-  // In-memory: hold the session mutex across probe + apply + record, so a
-  // concurrent retry of the same request id (a second connection replaying
-  // the same frame) serializes behind the original instead of racing it.
-  std::lock_guard<std::mutex> lock(session->mu);
-  const DedupWindow::Entry* entry = nullptr;
-  switch (session->dedup.Probe(frame.request_id, &entry)) {
-    case DedupWindow::Verdict::kHit:
-      if (entry->type != type_byte) {
-        error->code = WireErrorCode::kBadRequest;
-        error->message =
-            "request id was already used by a different message type";
-        return "";
-      }
-      Bump(counters_.dedup_hits);
-      return entry->response_payload;
-    case DedupWindow::Verdict::kStale:
-      Bump(counters_.dedup_stale);
-      error->code = WireErrorCode::kStaleRequest;
-      error->message = "request id predates the dedup window";
-      return "";
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-
-  Result<int> added = engine_->ApplyResponse(access, response);
-  if (!added.ok()) {
-    if (added.status().code() == StatusCode::kResourceExhausted) {
+  Result<DedupWindow::Outcome> outcome =
+      durable_ != nullptr
+          ? durable_->ApplyTagged(session->id, frame.request_id, access,
+                                  response)
+          : RunLocked(session->mu, session->dedup, frame.request_id,
+                      kWireApplyByte, [&]() -> Result<std::string> {
+                        RAR_ASSIGN_OR_RETURN(
+                            int added, engine_->ApplyResponse(access, response));
+                        return EncodeApplyResultPayload(
+                            static_cast<uint32_t>(added), /*wal_sequence=*/0);
+                      });
+  if (!outcome.ok()) {
+    if (outcome.status().code() == StatusCode::kResourceExhausted) {
       // Engine apply admission shed the request: typed backoff, not a
       // failure — the client retries after retry_after_ms.
       Bump(counters_.applies_shed);
@@ -618,15 +529,10 @@ std::string SessionServer::HandleApply(const WireFrame& frame,
     } else {
       error->code = WireErrorCode::kBadRequest;
     }
-    error->message = added.status().ToString();
+    error->message = outcome.status().ToString();
     return "";
   }
-  ApplyResult result;
-  result.facts_added = static_cast<uint32_t>(*added);
-  result.wal_sequence = 0;
-  std::string payload = EncodeApplyResult(result);
-  session->dedup.Record(frame.request_id, type_byte, payload);
-  return payload;
+  return AnswerMutation(std::move(*outcome), error);
 }
 
 std::string SessionServer::HandlePoll(const WireFrame& frame,

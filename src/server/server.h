@@ -155,11 +155,11 @@ class SessionServer : public ApplyListener {
     std::vector<QueryId> queries;   ///< wire handle -> engine QueryId
     std::vector<StreamId> streams;  ///< wire handle -> registry StreamId
     std::vector<char> degraded;     ///< parallel to streams
-    /// In-memory request dedup (durable serving probes the persisted
-    /// window in DurableSession instead). Guarded by mu — holding mu
-    /// across probe+execute+record is what makes a concurrent retry of
-    /// the same id on a second connection safe, not just a same-channel
-    /// retry.
+    /// In-memory request dedup (durable serving runs the same protocol on
+    /// the persisted window in DurableSession instead). Guarded by mu —
+    /// holding mu across probe+execute+record is what makes a concurrent
+    /// retry of the same id on a second connection safe, not just a
+    /// same-channel retry.
     DedupWindow dedup;
     std::atomic<uint64_t> last_active_ms{0};
   };
@@ -188,12 +188,9 @@ class SessionServer : public ApplyListener {
   /// Fills `error` with the kShuttingDown shed and counts it.
   void ShedDraining(WireError* error);
 
-  /// Maps a durable TaggedOutcome probe hit/stale to a response or error.
-  /// Returns true when the outcome fully answered the request (hit or
-  /// stale); false means kFresh — the caller finishes the fresh path.
-  bool AnswerFromOutcome(const DurableSession::TaggedOutcome& outcome,
-                         uint8_t request_type, std::string* payload,
-                         WireError* error);
+  /// Maps a mutation's dedup outcome (either executor) to its response
+  /// payload, or to a typed error for a type-mismatched or stale id.
+  std::string AnswerMutation(DedupWindow::Outcome outcome, WireError* error);
 
   /// Post-poll backlog policing for one stream handle: high-water
   /// tracking and the degrade threshold.

@@ -19,9 +19,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/engine.h"
@@ -124,6 +128,60 @@ WireError ExpectError(const WireFrame& frame) {
   return e;
 }
 
+// The two serving modes the dedup protocol runs under.
+enum class ServeMode { kInMemory, kDurable };
+
+std::string ModeName(ServeMode mode) {
+  return mode == ServeMode::kDurable ? "Durable" : "InMemory";
+}
+
+/// The server under test over `world`: in memory, or over a
+/// DurableSession in a fresh temp dir, whose window size then comes from
+/// PersistOptions::dedup_window (durable serving ignores the server's).
+class ChainServer {
+ public:
+  ChainServer(const ChainWorld& world, ServeMode mode,
+              size_t dedup_window = 256) {
+    if (mode == ServeMode::kDurable) {
+      dir_ = TestDir("frame_dedup");
+      PersistOptions popts;
+      popts.dedup_window = dedup_window;
+      auto opened = DurableSession::Open(world.schema, world.acs, world.conf,
+                                         dir_, popts, {});
+      if (!opened.ok()) {
+        // No server to test against; a constructor cannot ASSERT.
+        ADD_FAILURE() << opened.status().ToString();
+        std::abort();
+      }
+      durable_ = std::move(*opened);
+      server_ = std::make_unique<SessionServer>(durable_.get());
+    } else {
+      engine_ = std::make_unique<RelevanceEngine>(world.schema, world.acs,
+                                                  world.conf, EngineOptions{});
+      registry_ = std::make_unique<RelevanceStreamRegistry>(engine_.get());
+      ServerOptions opts;
+      opts.dedup_window = dedup_window;
+      server_ = std::make_unique<SessionServer>(engine_.get(), registry_.get(),
+                                                opts);
+    }
+  }
+  ~ChainServer() {
+    server_.reset();
+    durable_.reset();
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+
+  SessionServer& server() { return *server_; }
+  RelevanceEngine& engine() { return server_->engine(); }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<RelevanceEngine> engine_;
+  std::unique_ptr<RelevanceStreamRegistry> registry_;
+  std::unique_ptr<DurableSession> durable_;
+  std::unique_ptr<SessionServer> server_;
+};
+
 // ---------------------------------------------------------- dedup window
 
 TEST(DedupWindowTest, FreshHitEvictStaleLifecycle) {
@@ -172,13 +230,15 @@ TEST(DedupWindowTest, FreshHitEvictStaleLifecycle) {
 
 // ------------------------------------------- duplicate / replayed frames
 
-TEST(FrameDedupTest, DuplicateApplyAnsweredByteIdenticallyFromCache) {
-  ChainWorld world(4);
-  RelevanceEngine engine(world.schema, world.acs, world.conf, {});
-  RelevanceStreamRegistry registry(&engine);
-  SessionServer server(&engine, &registry, {});
+// FrameDedupTest cases run against both serving modes (ServeMode).
+class FrameDedupTest : public ::testing::TestWithParam<ServeMode> {};
 
-  LoopbackChannel channel(&server);
+TEST_P(FrameDedupTest, DuplicateApplyAnsweredByteIdenticallyFromCache) {
+  ChainWorld world(4);
+  ChainServer served(world, GetParam());
+  RelevanceEngine& engine = served.engine();
+
+  LoopbackChannel channel(&served.server());
   RarClient client(&channel, &world.schema, &world.acs);
   ASSERT_TRUE(client.Hello().ok());
 
@@ -243,34 +303,41 @@ TEST(FrameDedupTest, WithoutWindowDuplicatesVisiblyHarm) {
   EXPECT_EQ(engine.stats().server_dedup_hits, 0u);
 }
 
-TEST(FrameDedupTest, DuplicateRegisterReturnsOriginalHandle) {
-  ChainWorld world(4);
-  RelevanceEngine engine(world.schema, world.acs, world.conf, {});
-  RelevanceStreamRegistry registry(&engine);
-  SessionServer server(&engine, &registry, {});
+// Duplicate registration, per serving mode and per registration type.
+class FrameDedupRegisterTest
+    : public ::testing::TestWithParam<std::tuple<ServeMode, MessageType>> {};
 
-  LoopbackChannel channel(&server);
+TEST_P(FrameDedupRegisterTest, DuplicateRegisterReturnsOriginalHandle) {
+  const auto [mode, reg_type] = GetParam();
+  ChainWorld world(4);
+  ChainServer served(world, mode);
+  RelevanceEngine& engine = served.engine();
+
+  LoopbackChannel channel(&served.server());
   RarClient client(&channel, &world.schema, &world.acs);
   ASSERT_TRUE(client.Hello().ok());
 
-  const std::string reg_payload = EncodeRegisterStreamRequest(
-      world.schema, client.token(), world.KaryQuery(), {});
-  WireFrame reg1 = RawCall(channel, MessageType::kRegisterStream,
-                           reg_payload, 7);
-  WireFrame reg2 = RawCall(channel, MessageType::kRegisterStream,
-                           reg_payload, 7);
-  ASSERT_EQ(reg1.type, MessageType::kRegisterStreamOk);
+  const std::string reg_payload =
+      reg_type == MessageType::kRegisterQuery
+          ? EncodeRegisterQueryRequest(world.schema, client.token(),
+                                       world.BoolQuery())
+          : EncodeRegisterStreamRequest(world.schema, client.token(),
+                                        world.KaryQuery(), {});
+  WireFrame reg1 = RawCall(channel, reg_type, reg_payload, 7);
+  WireFrame reg2 = RawCall(channel, reg_type, reg_payload, 7);
+  ASSERT_EQ(reg1.type, reg_type == MessageType::kRegisterQuery
+                           ? MessageType::kRegisterQueryOk
+                           : MessageType::kRegisterStreamOk);
   EXPECT_EQ(reg2.payload, reg1.payload);
   EXPECT_EQ(engine.stats().server_dedup_hits, 1u);
 }
 
-TEST(FrameDedupTest, ReorderedReplayOfOldRequestIsNoOp) {
+TEST_P(FrameDedupTest, ReorderedReplayOfOldRequestIsNoOp) {
   ChainWorld world(6);
-  RelevanceEngine engine(world.schema, world.acs, world.conf, {});
-  RelevanceStreamRegistry registry(&engine);
-  SessionServer server(&engine, &registry, {});
+  ChainServer served(world, GetParam());
+  RelevanceEngine& engine = served.engine();
 
-  LoopbackChannel channel(&server);
+  LoopbackChannel channel(&served.server());
   RarClient client(&channel, &world.schema, &world.acs);
   ASSERT_TRUE(client.Hello().ok());
 
@@ -298,15 +365,12 @@ TEST(FrameDedupTest, ReorderedReplayOfOldRequestIsNoOp) {
   EXPECT_EQ(engine.stats().server_requests_apply, 4u);
 }
 
-TEST(FrameDedupTest, EvictedRequestIdRejectedAsStaleNeverReExecuted) {
+TEST_P(FrameDedupTest, EvictedRequestIdRejectedAsStaleNeverReExecuted) {
   ChainWorld world(6);
-  RelevanceEngine engine(world.schema, world.acs, world.conf, {});
-  RelevanceStreamRegistry registry(&engine);
-  ServerOptions opts;
-  opts.dedup_window = 1;
-  SessionServer server(&engine, &registry, opts);
+  ChainServer served(world, GetParam(), /*dedup_window=*/1);
+  RelevanceEngine& engine = served.engine();
 
-  LoopbackChannel channel(&server);
+  LoopbackChannel channel(&served.server());
   RarClient client(&channel, &world.schema, &world.acs);
   ASSERT_TRUE(client.Hello().ok());
 
@@ -332,13 +396,11 @@ TEST(FrameDedupTest, EvictedRequestIdRejectedAsStaleNeverReExecuted) {
   EXPECT_EQ(engine.stats().server_requests_apply, 3u);
 }
 
-TEST(FrameDedupTest, HitWithMismatchedTypeIsBadRequest) {
+TEST_P(FrameDedupTest, HitWithMismatchedTypeIsBadRequest) {
   ChainWorld world(4);
-  RelevanceEngine engine(world.schema, world.acs, world.conf, {});
-  RelevanceStreamRegistry registry(&engine);
-  SessionServer server(&engine, &registry, {});
+  ChainServer served(world, GetParam());
 
-  LoopbackChannel channel(&server);
+  LoopbackChannel channel(&served.server());
   RarClient client(&channel, &world.schema, &world.acs);
   ASSERT_TRUE(client.Hello().ok());
 
@@ -357,6 +419,26 @@ TEST(FrameDedupTest, HitWithMismatchedTypeIsBadRequest) {
       RawCall(channel, MessageType::kRegisterStream, reg_payload, 33));
   EXPECT_EQ(e.code, WireErrorCode::kBadRequest);
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, FrameDedupTest,
+                         ::testing::Values(ServeMode::kInMemory,
+                                           ServeMode::kDurable),
+                         [](const ::testing::TestParamInfo<ServeMode>& info) {
+                           return ModeName(info.param);
+                         });
+INSTANTIATE_TEST_SUITE_P(
+    Modes, FrameDedupRegisterTest,
+    ::testing::Combine(::testing::Values(ServeMode::kInMemory,
+                                         ServeMode::kDurable),
+                       ::testing::Values(MessageType::kRegisterStream,
+                                         MessageType::kRegisterQuery)),
+    [](const ::testing::TestParamInfo<std::tuple<ServeMode, MessageType>>&
+           info) {
+      return ModeName(std::get<0>(info.param)) +
+             (std::get<1>(info.param) == MessageType::kRegisterQuery
+                  ? "Query"
+                  : "Stream");
+    });
 
 // -------------------------------------------------------------- deadlines
 

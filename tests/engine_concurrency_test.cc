@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -727,14 +729,26 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   }
   std::vector<GroupScript> scripts = BuildScripts(f);
   std::vector<Access> batch = engine.PendingAccesses();
-  ASSERT_FALSE(batch.empty());
+  // More than one access, so CheckBatch fans out to the pool.
+  ASSERT_GT(batch.size(), 1u);
 
   std::atomic<bool> stop{false};
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
   constexpr int kApplierRounds = 10;
+  constexpr int kCheckers = 2;
+  // Appliers start only once every checker has finished one pooled
+  // CheckBatch. Otherwise they can run to completion and raise `stop`
+  // before any batch fans out, leaving queue_wait_ns empty.
+  std::mutex started_mu;
+  std::condition_variable started_cv;
+  int checkers_started = 0;
   for (int g = 0; g < kGroups; ++g) {
     threads.emplace_back([&, g]() {
+      {
+        std::unique_lock<std::mutex> lock(started_mu);
+        started_cv.wait(lock, [&] { return checkers_started == kCheckers; });
+      }
       for (int round = 0; round < kApplierRounds; ++round) {
         for (const auto& [access, response] : scripts[g].steps) {
           if (!engine.ApplyResponse(access, response).ok()) {
@@ -744,14 +758,21 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
       }
     });
   }
-  for (int c = 0; c < 2; ++c) {
+  for (int c = 0; c < kCheckers; ++c) {
     threads.emplace_back([&, c]() {
       Rng rng(77 + c);
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         QueryId qid = qids[rng.Below(qids.size())];
         CheckKind kind = rng.Chance(0.5) ? CheckKind::kImmediate
                                          : CheckKind::kLongTerm;
         (void)engine.CheckBatch(qid, kind, batch);
+        if (first) {
+          first = false;
+          std::lock_guard<std::mutex> lock(started_mu);
+          ++checkers_started;
+          started_cv.notify_all();
+        }
         // Trace readers race the writers on purpose: torn slots must be
         // dropped, never returned.
         for (const TraceEvent& e : engine.obs().trace().LastEvents(32)) {
